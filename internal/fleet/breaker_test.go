@@ -48,93 +48,6 @@ func (d *downClient) callCount() int {
 	return d.calls
 }
 
-// TestBreakerUnit drives the breaker state machine directly.
-func TestBreakerUnit(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := newBreaker(3, time.Second, clock)
-
-	for i := 0; i < 2; i++ {
-		if !b.allow() {
-			t.Fatalf("closed breaker refused attempt %d", i)
-		}
-		b.record(true)
-	}
-	if open, _ := b.stats(); open {
-		t.Fatal("breaker open below threshold")
-	}
-	if !b.allow() {
-		t.Fatal("closed breaker refused the tripping attempt")
-	}
-	b.record(true) // third consecutive: trips
-	if open, trips := b.stats(); !open || trips != 1 {
-		t.Fatalf("after threshold failures: open=%v trips=%d, want open once", open, trips)
-	}
-	if b.allow() {
-		t.Fatal("open breaker admitted work inside the cooldown")
-	}
-	if !b.refusing() {
-		t.Fatal("hard-open breaker should refuse new work at the serving layer")
-	}
-
-	// Cooldown elapses: exactly one probe gets through — and the serving
-	// layer must stop refusing, or no job would ever arrive to probe.
-	now = now.Add(2 * time.Second)
-	if b.refusing() {
-		t.Fatal("elapsed cooldown must re-admit new work (the probe rides on it)")
-	}
-	if !b.allow() {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.record(true) // probe failed: reopen
-	if open, trips := b.stats(); !open || trips != 2 {
-		t.Fatalf("failed probe: open=%v trips=%d, want reopened (2 trips)", open, trips)
-	}
-	if b.allow() {
-		t.Fatal("reopened breaker admitted work without a fresh cooldown")
-	}
-	if !b.refusing() {
-		t.Fatal("reopened breaker should refuse new work again")
-	}
-
-	// Second probe succeeds: closed again, counters reset.
-	now = now.Add(2 * time.Second)
-	if !b.allow() {
-		t.Fatal("refused second probe")
-	}
-	b.record(false)
-	if open, _ := b.stats(); open {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	for i := 0; i < 2; i++ {
-		if !b.allow() {
-			t.Fatal("closed breaker refusing work after recovery")
-		}
-		b.record(true)
-	}
-	if open, _ := b.stats(); open {
-		t.Fatal("consecutive counter was not reset by the successful probe")
-	}
-}
-
-// TestBreakerDisabledByDefault: the zero-value Config must behave exactly
-// as before the breaker existed.
-func TestBreakerDisabledByDefault(t *testing.T) {
-	b := newBreaker(0, 0, time.Now)
-	for i := 0; i < 100; i++ {
-		if !b.allow() {
-			t.Fatal("disabled breaker refused work")
-		}
-		b.record(true)
-	}
-	if open, trips := b.stats(); open || trips != 0 {
-		t.Fatalf("disabled breaker reports open=%v trips=%d", open, trips)
-	}
-}
-
 // TestPoolBreakerStopsRetryStorm: with the breaker on, a down backend sees
 // a bounded number of calls no matter how many jobs are thrown at it, jobs
 // past the trip fail fast with ErrBreakerOpen, and the metrics surface the

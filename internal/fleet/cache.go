@@ -101,13 +101,19 @@ func (c *cache) Put(digest string, res *ioagent.Result) {
 }
 
 // putAt is Put with an explicit insertion time, used when restoring a
-// persisted snapshot so restored entries keep their original TTL clock.
-// Entries already expired at insertion time are dropped.
+// persisted snapshot or ingesting a peer's entry so it keeps its original
+// TTL clock. Entries already expired at insertion time are dropped, and an
+// insertion time in the future (a skewed peer clock, a forged push) is
+// clamped to now: it must never stretch the entry past its TTL.
 func (c *cache) putAt(digest string, res *ioagent.Result, added time.Time) {
 	if c.capacity <= 0 {
 		return
 	}
-	if c.ttl > 0 && c.now().Sub(added) >= c.ttl {
+	now := c.now()
+	if added.After(now) {
+		added = now
+	}
+	if c.ttl > 0 && now.Sub(added) >= c.ttl {
 		return
 	}
 	var evicted []string

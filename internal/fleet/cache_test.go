@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"ioagent/internal/ioagent"
+	"ioagent/internal/knowledge"
+	"ioagent/internal/llm"
 )
 
 // fakeClock is a manually advanced time source for TTL tests.
@@ -68,6 +70,29 @@ func TestCachePutRefreshesTTL(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Errorf("re-put must not duplicate the entry, len = %d", c.Len())
+	}
+}
+
+// TestCacheIngestClampsFutureAdded: a pushed entry dated an hour in the
+// future (a skewed or forged peer clock) expires on the normal TTL rather
+// than an hour late.
+func TestCacheIngestClampsFutureAdded(t *testing.T) {
+	clk := newFakeClock()
+	pool := New(llm.NewSim(), Config{
+		Workers: 1, CacheTTL: time.Minute, now: clk.now,
+		Agent: ioagent.Options{Index: knowledge.BuildIndex()},
+	})
+	defer pool.Close()
+	if !pool.CacheIngest("d1", "diagnosis for d1", clk.now().Add(time.Hour)) {
+		t.Fatal("future-dated push was not ingested")
+	}
+	clk.advance(59 * time.Second)
+	if _, ok := pool.CacheEntryFor("d1"); !ok {
+		t.Fatal("entry expired before its TTL")
+	}
+	clk.advance(2 * time.Second) // 61s since the push
+	if _, ok := pool.CacheEntryFor("d1"); ok {
+		t.Fatal("future-dated push outlived its TTL")
 	}
 }
 

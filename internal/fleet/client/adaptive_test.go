@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -13,20 +12,24 @@ import (
 )
 
 // TestAdaptiveBackoffWidensWithErrorRate: with a fully failing recent
-// window the retry delay is 4x the fixed-doubling schedule; with
-// adaptive backoff disabled it is exactly the fixed schedule.
+// window the retry delay is 4x the fixed-doubling schedule. A server
+// refusing with quota_exceeded retries on exactly the fixed schedule: a
+// quota refusal is the tenant's backpressure and never counts against the
+// server's health.
 func TestAdaptiveBackoffWidensWithErrorRate(t *testing.T) {
-	alwaysDraining := func(w http.ResponseWriter, r *http.Request) {
+	alwaysDraining := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeDraining, "draining"))
-	}
-	srv := newAPIServer(t, alwaysDraining)
+	})
+	alwaysQuota := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
+		writeErr(w, api.Errorf(api.CodeQuotaExceeded, "at quota"))
+	})
 
 	base := 10 * time.Millisecond
-	adaptive := New(srv.URL, WithRetry(3, base))
+	adaptive := New(alwaysDraining.URL, WithRetry(3, base))
 	sleptA := instantSleep(adaptive)
 	adaptive.Metrics(context.Background()) // fails; we want the schedule
 
-	fixed := New(srv.URL, WithRetry(3, base), WithAdaptiveBackoff(false))
+	fixed := New(alwaysQuota.URL, WithRetry(3, base))
 	sleptF := instantSleep(fixed)
 	fixed.Metrics(context.Background())
 
@@ -117,76 +120,5 @@ func TestQuotaExceededIsRetryable(t *testing.T) {
 	info, err := c.Submit(context.Background(), api.SubmitRequest{Trace: []byte("x")})
 	if err != nil || info.ID != "job-000001" {
 		t.Fatalf("submit through quota blip = %+v, %v", info, err)
-	}
-}
-
-// TestClientBreaker: consecutive retryable failures trip the breaker;
-// calls then fail fast without touching the server; after the cooldown a
-// half-open probe runs, and a success closes the breaker.
-func TestClientBreaker(t *testing.T) {
-	var calls atomic.Int64
-	var healthy atomic.Bool
-	srv := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		if !healthy.Load() {
-			writeErr(w, api.Errorf(api.CodeDraining, "down"))
-			return
-		}
-		json.NewEncoder(w).Encode(api.Metrics{Workers: 1})
-	})
-
-	clock := time.Now()
-	c := New(srv.URL, WithRetry(1, time.Millisecond), WithBreaker(3, time.Second))
-	c.brk.now = func() time.Time { return clock }
-	instantSleep(c)
-	ctx := context.Background()
-
-	for i := 0; i < 3; i++ { // 3 consecutive failures: trips
-		c.Metrics(ctx)
-	}
-	if got := c.brk.Trips(); got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
-	before := calls.Load()
-	if _, err := c.Metrics(ctx); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("call while open = %v, want ErrBreakerOpen", err)
-	}
-	if calls.Load() != before {
-		t.Error("open breaker still hit the server")
-	}
-
-	// Cooldown elapses; the half-open probe goes through and a healthy
-	// server closes the breaker.
-	healthy.Store(true)
-	clock = clock.Add(2 * time.Second)
-	if _, err := c.Metrics(ctx); err != nil {
-		t.Fatalf("half-open probe = %v", err)
-	}
-	if _, err := c.Metrics(ctx); err != nil {
-		t.Fatalf("post-recovery call = %v", err)
-	}
-}
-
-// TestClientBreakerReArmsOnFailedProbe: a failed half-open probe starts
-// a fresh cooldown instead of letting traffic through.
-func TestClientBreakerReArmsOnFailedProbe(t *testing.T) {
-	srv := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, api.Errorf(api.CodeDraining, "still down"))
-	})
-	clock := time.Now()
-	c := New(srv.URL, WithRetry(1, time.Millisecond), WithBreaker(2, time.Second))
-	c.brk.now = func() time.Time { return clock }
-	instantSleep(c)
-	ctx := context.Background()
-
-	c.Metrics(ctx)
-	c.Metrics(ctx) // tripped
-	clock = clock.Add(1100 * time.Millisecond)
-	if _, err := c.Metrics(ctx); errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("half-open probe was refused")
-	}
-	// The probe failed; the very next call is refused again.
-	if _, err := c.Metrics(ctx); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("post-failed-probe call = %v, want ErrBreakerOpen", err)
 	}
 }

@@ -12,41 +12,6 @@ import (
 	"ioagent/internal/fleet/api"
 )
 
-// TestEndpointBackoffWidensAndClears drives the per-endpoint window
-// directly: consecutive transient failures widen the deferral, a success
-// clears it instantly.
-func TestEndpointBackoffWidensAndClears(t *testing.T) {
-	var b endpointBackoff
-	now := time.Unix(1000, 0)
-
-	if b.deferred(now) {
-		t.Fatal("fresh endpoint is deferred")
-	}
-	b.observe(true, now)
-	first := b.until.Sub(now)
-	if !b.deferred(now.Add(time.Millisecond)) {
-		t.Fatal("endpoint not deferred after a transient failure")
-	}
-	b.observe(true, now)
-	second := b.until.Sub(now)
-	if second <= first {
-		t.Fatalf("consecutive failures did not widen the deferral: %v then %v", first, second)
-	}
-	for i := 0; i < 20; i++ {
-		b.observe(true, now)
-	}
-	if got := b.until.Sub(now); got > endpointBackoffMax {
-		t.Fatalf("deferral %v exceeds the %v cap", got, endpointBackoffMax)
-	}
-	b.observe(false, now)
-	if b.deferred(now) {
-		t.Fatal("success did not clear the deferral")
-	}
-	if b.streak != 0 {
-		t.Fatalf("streak = %d after success, want 0", b.streak)
-	}
-}
-
 // TestClusterDefersFailingEndpoint covers the router's spool/forward gap:
 // after a member fails transiently, the very next submission must try the
 // healthy member first instead of paying the failing owner's schedule
@@ -118,5 +83,54 @@ func TestClusterDefersFailingEndpoint(t *testing.T) {
 	}
 	if failHits.Load() != 2 {
 		t.Fatalf("expired deferral did not restore the member to the failover order (%d hits)", failHits.Load())
+	}
+}
+
+// TestClusterQuotaExceededDoesNotDefer pins the failure classifier: a
+// member refusing with quota_exceeded is answering, so the refusal reaches
+// the caller, the member is not deferred, and the next submission goes to
+// it first again.
+func TestClusterQuotaExceededDoesNotDefer(t *testing.T) {
+	var quotaHits, okHits atomic.Int64
+	atQuota := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
+		quotaHits.Add(1)
+		writeErr(w, api.Errorf(api.CodeQuotaExceeded, "tenant at quota"))
+	})
+	healthy := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
+		okHits.Add(1)
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(api.JobInfo{ID: "h-job-000001", Status: api.StatusQueued})
+	})
+
+	cl, err := NewCluster([]string{atQuota.URL, healthy.URL}, WithRetry(1, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var raw []byte
+	for seed := 0; seed < 64; seed++ {
+		raw = clusterTrace(t, seed)
+		if cl.Route(raw)[0] == atQuota.URL {
+			break
+		}
+		raw = nil
+	}
+	if raw == nil {
+		t.Fatal("no seed routed to the quota-limited member")
+	}
+
+	ctx := context.Background()
+	for i := 1; i <= 2; i++ {
+		if _, err := cl.Submit(ctx, api.SubmitRequest{Trace: raw}); api.ErrorCode(err) != api.CodeQuotaExceeded {
+			t.Fatalf("submission %d = %v, want quota_exceeded from the owner", i, err)
+		}
+		if quotaHits.Load() != int64(i) || okHits.Load() != 0 {
+			t.Fatalf("submission %d hit quota/ok %d/%d times, want %d/0 (owner first, no failover)",
+				i, quotaHits.Load(), okHits.Load(), i)
+		}
+	}
+	if cl.cur.Load().clients[atQuota.URL].Health().Deferred(time.Now()) {
+		t.Fatal("quota_exceeded deferred the member")
 	}
 }

@@ -26,10 +26,10 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/health"
 )
 
 // Option customizes a Client.
@@ -68,31 +68,6 @@ func WithPollInterval(d time.Duration) Option {
 // ricocheting submissions forever. Plain SDK users never need it.
 func WithForwardedBy(id string) Option { return func(c *Client) { c.forwardedBy = id } }
 
-// WithAdaptiveBackoff toggles error-rate-adaptive backoff (default on):
-// the base exponential delay is widened by the transient-failure rate
-// observed over the client's recent attempts, so a client talking to a
-// struggling server backs off harder than one that hit a single blip —
-// instead of every client doubling in lockstep. Servers' Retry-After
-// hints are honored as a floor either way.
-func WithAdaptiveBackoff(enabled bool) Option { return func(c *Client) { c.adaptiveOff = !enabled } }
-
-// WithBreaker arms a client-side circuit breaker mirroring the pool's:
-// after threshold consecutive retryable failures, calls fail fast with
-// ErrBreakerOpen — no dial, no retry budget — until cooldown elapses and
-// a half-open probe is admitted. Zero threshold disables (the default).
-// Cluster mode treats a member's open breaker as an immediate failover
-// signal, so a down node costs nothing once its breaker trips.
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *Client) {
-		if threshold > 0 {
-			if cooldown <= 0 {
-				cooldown = 5 * time.Second
-			}
-			c.brk = &clientBreaker{threshold: threshold, cooldown: cooldown, now: time.Now}
-		}
-	}
-}
-
 // WithRingReplicas sets the virtual-node count of the consistent-hash
 // ring in Cluster mode (default ring.DefaultReplicas). Every party that
 // must agree on digest ownership — all routers and all cluster-mode
@@ -106,12 +81,6 @@ func WithRingReplicas(n int) Option {
 	}
 }
 
-// ErrBreakerOpen is returned by calls refused fast because the client's
-// circuit breaker (WithBreaker) is open: the server produced too many
-// consecutive retryable failures and the cooldown has not elapsed.
-// Nothing was sent; retry later, or let cluster mode fail over.
-var ErrBreakerOpen = errors.New("client: circuit breaker open (server marked down); retry later")
-
 // Client talks to one iofleetd instance. It is safe for concurrent use.
 type Client struct {
 	base        string
@@ -121,9 +90,9 @@ type Client struct {
 	maxDelay    time.Duration
 	poll        time.Duration
 	forwardedBy string
-	adaptiveOff bool
-	brk         *clientBreaker // nil unless WithBreaker armed it
-	window      outcomeWindow  // recent-attempt outcomes for adaptive backoff
+	// health is this server's failure memory, fed by every attempt: its
+	// rate widens retry delays, and Cluster defers a member while it holds.
+	health *health.Endpoint
 	// ringReplicas is only read by Cluster, which builds its ring from
 	// the options applied to its member clients.
 	ringReplicas int
@@ -150,7 +119,12 @@ func New(baseURL string, opts ...Option) *Client {
 		baseDelay:   100 * time.Millisecond,
 		maxDelay:    5 * time.Second,
 		poll:        100 * time.Millisecond,
-		sleep:       sleepCtx,
+		health: health.New(health.Policy{
+			Threshold: 1,
+			Base:      100 * time.Millisecond,
+			Max:       5 * time.Second,
+		}),
+		sleep: sleepCtx,
 	}
 	for _, o := range opts {
 		o(c)
@@ -256,26 +230,27 @@ func (c *Client) SubmitAndWait(ctx context.Context, req api.SubmitRequest) (api.
 // may be nil; out may be nil for calls with no interesting response.
 //
 // The retry delay starts from the exponential base but is shaped by two
-// live signals: the transient-failure rate observed over this client's
-// recent attempts widens it (a struggling server earns a wider berth
+// live signals: the failure rate observed over this client's recent
+// attempts widens it (a struggling server earns a wider berth
 // than a single blip), and a server-sent Retry-After floors it (the
 // server knows when the quota frees or the drain completes better than
 // any client-side formula).
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	if c.brk != nil && !c.brk.allow() {
-		return ErrBreakerOpen
-	}
+	return c.doHeaders(ctx, method, path, body, nil, out)
+}
+
+// doHeaders is do with extra per-call request headers (empty values are
+// skipped).
+func (c *Client) doHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
 	delay := c.baseDelay
-	var lastErr error
 	for attempt := 1; ; attempt++ {
-		err := c.once(ctx, method, path, body, out)
+		err := c.onceHeaders(ctx, method, path, body, headers, out)
 		c.observe(err)
 		if err == nil || !retryable(err) || attempt >= c.maxAttempts {
 			return err
 		}
-		lastErr = err
 		if serr := c.sleep(ctx, c.nextDelay(delay, err)); serr != nil {
-			return fmt.Errorf("%w (last attempt: %w)", serr, lastErr)
+			return fmt.Errorf("%w (last attempt: %w)", serr, err)
 		}
 		if delay *= 2; delay > c.maxDelay {
 			delay = c.maxDelay
@@ -283,28 +258,26 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 }
 
-// observe feeds one attempt's outcome to the adaptive-backoff window and
-// the breaker (when armed).
+// observe feeds one attempt's outcome to the server's health. Only
+// failover-class errors count as failures (see failover): a 4xx says
+// nothing about the server's health, and quota_exceeded is the tenant's
+// backpressure, not the node's.
 func (c *Client) observe(err error) {
-	fail := err != nil && retryable(err)
-	c.window.record(fail)
-	if c.brk != nil {
-		c.brk.record(fail)
-	}
+	c.health.Observe(failover(err))
 }
 
+// Health is the server's failure memory as observed by this client.
+func (c *Client) Health() *health.Endpoint { return c.health }
+
 // nextDelay shapes the base exponential delay for this retry: widened by
-// the observed transient-error rate (unless adaptive backoff is off),
-// then floored by any server-sent Retry-After hint.
+// the observed failure rate, then floored by any server-sent Retry-After
+// hint.
 func (c *Client) nextDelay(base time.Duration, err error) time.Duration {
-	d := base
-	if !c.adaptiveOff {
-		// rate 0 leaves the exponential schedule untouched; a fully
-		// failing window quadruples it (on top of the doubling).
-		d = time.Duration(float64(d) * (1 + 3*c.window.rate()))
-		if d > c.maxDelay {
-			d = c.maxDelay
-		}
+	// rate 0 leaves the exponential schedule untouched; a fully failing
+	// window quadruples it (on top of the doubling).
+	d := time.Duration(float64(base) * (1 + 3*c.health.Rate()))
+	if d > c.maxDelay {
+		d = c.maxDelay
 	}
 	if ra := retryAfterIn(err); ra > d {
 		d = ra // the server's own hint outranks the cap: it knows
@@ -312,9 +285,9 @@ func (c *Client) nextDelay(base time.Duration, err error) time.Duration {
 	return d
 }
 
-// once performs a single HTTP round trip, enforcing version compatibility
-// and mapping error bodies onto *api.Error.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
+// onceHeaders performs a single HTTP round trip, enforcing version
+// compatibility and mapping error bodies onto *api.Error.
+func (c *Client) onceHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -325,6 +298,11 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	for k, v := range headers {
+		if v != "" {
+			req.Header.Set(k, v)
+		}
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
@@ -447,95 +425,6 @@ func retryAfterIn(err error) time.Duration {
 // propagate the owning daemon's hint to its own caller instead of
 // swallowing it.
 func RetryAfterHint(err error) time.Duration { return retryAfterIn(err) }
-
-// outcomeWindow is a fixed ring of recent attempt outcomes; its failure
-// rate drives the adaptive backoff widening. Safe for concurrent use.
-type outcomeWindow struct {
-	mu       sync.Mutex
-	outcomes [32]bool // true = transient failure
-	n, idx   int
-	fails    int
-}
-
-func (w *outcomeWindow) record(fail bool) {
-	w.mu.Lock()
-	if w.n < len(w.outcomes) {
-		w.n++
-	} else if w.outcomes[w.idx] {
-		w.fails--
-	}
-	w.outcomes[w.idx] = fail
-	w.idx = (w.idx + 1) % len(w.outcomes)
-	if fail {
-		w.fails++
-	}
-	w.mu.Unlock()
-}
-
-func (w *outcomeWindow) rate() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n == 0 {
-		return 0
-	}
-	return float64(w.fails) / float64(w.n)
-}
-
-// clientBreaker mirrors the pool's transient-failure breaker on the
-// client side: consecutive retryable failures trip it open, calls fail
-// fast with ErrBreakerOpen through the cooldown, then a half-open probe
-// is admitted — its outcome closes or re-arms the breaker.
-type clientBreaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-
-	mu          sync.Mutex
-	consecutive int
-	open        bool
-	openSince   time.Time
-	trips       int64
-}
-
-// allow reports whether a call may proceed: always while closed, and
-// once per cooldown while open (the half-open probe).
-func (b *clientBreaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return true
-	}
-	return b.now().Sub(b.openSince) >= b.cooldown
-}
-
-// record feeds one attempt's outcome. A success closes the breaker; a
-// retryable failure counts toward the threshold and re-arms an open
-// breaker's cooldown (a failed half-open probe starts a fresh wait).
-func (b *clientBreaker) record(fail bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !fail {
-		b.consecutive = 0
-		b.open = false
-		return
-	}
-	b.consecutive++
-	if b.consecutive >= b.threshold {
-		if !b.open {
-			b.trips++
-		}
-		b.open = true
-		b.openSince = b.now()
-	}
-}
-
-// Trips reports how many times the breaker has opened (for tests and
-// metrics).
-func (b *clientBreaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
-}
 
 // retryable classifies one attempt's failure: transport errors, bare
 // 5xx/429 statuses, and API codes the taxonomy marks retryable.

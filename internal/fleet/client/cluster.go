@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ioagent/internal/darshan"
 	"ioagent/internal/dxt"
@@ -86,12 +87,6 @@ type Cluster struct {
 	// (learned from each member's Metrics.Node on first need).
 	nodeToMember map[string]string
 	unresolved   map[string]bool // members whose node id is still unknown
-
-	// backoff holds per-endpoint transient-failure memory for the forward
-	// paths (see backoff.go); keyed by member base URL so it survives
-	// roster swaps for members that stay.
-	backoffMu sync.Mutex
-	backoff   map[string]*endpointBackoff
 }
 
 // normalizeMembers canonicalizes a member URL list: trims whitespace and
@@ -146,7 +141,7 @@ func NewCluster(members []string, opts ...Option) (*Cluster, error) {
 
 // UpdateMembers swaps the cluster onto a new member list — typically a
 // live roster snapshot — and returns which members were added and
-// removed. Clients of surviving members are reused (their breakers, node
+// removed. Clients of surviving members are reused (their health, node
 // learnings, and connection pools carry over); new members get fresh
 // clients built from the construction options; removed members' clients
 // release their idle connections. An empty or unchanged list is a no-op.
@@ -191,11 +186,6 @@ func (cl *Cluster) UpdateMembers(members []string) (added, removed []string) {
 		}
 		old.clients[base].Close()
 	}
-	cl.backoffMu.Lock()
-	for _, base := range removed {
-		delete(cl.backoff, base)
-	}
-	cl.backoffMu.Unlock()
 	return added, removed
 }
 
@@ -226,19 +216,37 @@ func (cl *Cluster) RouteDigest(digest string) []string {
 }
 
 // failover reports whether an error from one member justifies trying the
-// next ring successor rather than surfacing to the caller. It is the
-// per-call retry classification — transport failures, bare 5xx, and
-// retryable taxonomy codes — plus the member's client breaker being
-// open (that member is known down; the successor is the whole point). A
-// 4xx (bad trace, version skew, ...) will be 4xx everywhere. One
-// retryable code deliberately does NOT fail over: quota_exceeded is the
-// tenant's own backpressure, and hopping to a successor would both dodge
-// the quota and trade a clear 429-with-Retry-After for node_down.
+// next ring successor rather than surfacing to the caller — and, as the
+// one failure classifier, whether the attempt counts against the
+// member's health. It is the per-call retry classification: transport
+// failures, bare 5xx, and retryable taxonomy codes. A 4xx (bad trace,
+// version skew, ...) will be 4xx everywhere. One retryable code
+// deliberately does NOT fail over: quota_exceeded is the tenant's own
+// backpressure, and hopping to a successor would both dodge the quota and
+// trade a clear 429-with-Retry-After for node_down.
 func failover(err error) bool {
-	if api.ErrorCode(err) == api.CodeQuotaExceeded {
-		return false
+	return retryable(err) && api.ErrorCode(err) != api.CodeQuotaExceeded
+}
+
+// orderByBackoff stably partitions a failover order: members whose health
+// is holding them (a recent failover-class failure) move behind the
+// eligible ones. Nothing is ever dropped — when the whole fleet is
+// backing off, the original order stands and every member is still tried
+// (deferral shapes order, availability decides outcomes).
+func (ms *membership) orderByBackoff(members []string) []string {
+	now := time.Now()
+	var eligible, held []string
+	for _, m := range members {
+		if ms.clients[m].Health().Deferred(now) {
+			held = append(held, m)
+		} else {
+			eligible = append(eligible, m)
+		}
 	}
-	return failoverStream(err)
+	if len(held) == 0 || len(eligible) == 0 {
+		return members
+	}
+	return append(eligible, held...)
 }
 
 // Submit sends one trace to the owner of its route key, walking ring
@@ -247,9 +255,8 @@ func failover(err error) bool {
 // Diagnosis calls back to it.
 func (cl *Cluster) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
 	ms := cl.cur.Load()
-	for _, member := range cl.orderByBackoff(ms.ring.Successors(RouteKey(req.Trace), len(ms.members))) {
+	for _, member := range ms.orderByBackoff(ms.ring.Successors(RouteKey(req.Trace), len(ms.members))) {
 		info, err := ms.clients[member].Submit(ctx, req)
-		cl.observeForward(member, err)
 		if err == nil {
 			cl.learn(info.ID, member)
 			return info, nil
@@ -720,9 +727,9 @@ func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts Stream
 		targets = ms.ring.Successors(opts.Digest, len(ms.members))
 	}
 	// The router's spool/forward path rides this loop, so the per-endpoint
-	// backoff matters most here: a spooled stream must not pay a known-down
+	// deferral matters most here: a spooled stream must not pay a known-down
 	// owner's full retry schedule on every submission.
-	targets = cl.orderByBackoff(targets)
+	targets = ms.orderByBackoff(targets)
 	consumed := newCountingReader(body)
 	var lastErr error
 	for _, member := range targets {
@@ -740,7 +747,6 @@ func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts Stream
 		// the member client's own per-node retry budget still applies to
 		// rewindable streams.
 		info, err := ms.clients[member].SubmitStream(ctx, consumed.reader(), opts)
-		cl.observeForward(member, err)
 		if err == nil {
 			cl.learn(info.ID, member)
 			return info, nil

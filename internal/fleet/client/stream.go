@@ -1,9 +1,7 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,9 +45,6 @@ func (c *Client) SubmitStream(ctx context.Context, body io.Reader, opts StreamOp
 	}
 	if len(opts.Tenant) > api.MaxTenantLen {
 		return api.JobInfo{}, api.Errorf(api.CodeBadRequest, "tenant exceeds %d bytes", api.MaxTenantLen)
-	}
-	if c.brk != nil && !c.brk.allow() {
-		return api.JobInfo{}, ErrBreakerOpen
 	}
 	path := "/v1/jobs/stream?lane=" + url.QueryEscape(string(lane))
 	if opts.Tenant != "" {
@@ -242,58 +237,4 @@ func submitChunked(ctx context.Context, u uploader, r io.Reader, chunkSize int, 
 		}
 	}
 	return u.UploadComplete(ctx, up.ID)
-}
-
-// doHeaders is do with extra per-call request headers (empty values are
-// skipped).
-func (c *Client) doHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
-	if c.brk != nil && !c.brk.allow() {
-		return ErrBreakerOpen
-	}
-	delay := c.baseDelay
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		err := c.onceHeaders(ctx, method, path, body, headers, out)
-		c.observe(err)
-		if err == nil || !retryable(err) || attempt >= c.maxAttempts {
-			return err
-		}
-		lastErr = err
-		if serr := c.sleep(ctx, c.nextDelay(delay, err)); serr != nil {
-			return fmt.Errorf("%w (last attempt: %w)", serr, lastErr)
-		}
-		if delay *= 2; delay > c.maxDelay {
-			delay = c.maxDelay
-		}
-	}
-}
-
-func (c *Client) onceHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := c.newRequest(ctx, method, path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	for k, v := range headers {
-		if v != "" {
-			req.Header.Set(k, v)
-		}
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return &transportError{err}
-	}
-	return c.decodeResponse(resp, method, path, out)
-}
-
-// failoverStream reports whether an error from one member justifies
-// retrying a stream elsewhere; breaker-open members fail over instantly.
-func failoverStream(err error) bool {
-	return retryable(err) || errors.Is(err, ErrBreakerOpen)
 }

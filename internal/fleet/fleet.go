@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ioagent/internal/darshan"
+	"ioagent/internal/fleet/health"
 	"ioagent/internal/fleet/knowledge"
 	"ioagent/internal/fleet/sched"
 	"ioagent/internal/fleet/semcache"
@@ -507,8 +508,14 @@ type Pool struct {
 	// FIFOs inside each lane drained by weighted deficit-round-robin,
 	// and the BatchShare cross-lane weighting layered on top.
 	schd *sched.Scheduler[*Job]
-	brk  *breaker
-	m    metrics
+	// brk is the circuit breaker over the LLM backend
+	// (Config.BreakerThreshold): a health.Endpoint fed by every diagnosis
+	// attempt, holding for exactly BreakerCooldown. Any non-transient
+	// response proves the backend reachable and clears it. The streak is
+	// pool-wide, not per job: three jobs failing twice each is the same
+	// evidence of a down backend as one job failing six times.
+	brk *health.Endpoint
+	m   metrics
 
 	// Semantic reuse (nil unless Config.SemCache): the similarity index
 	// over diagnosed traces and the confidence gate that decides reuse.
@@ -575,7 +582,12 @@ func New(client llm.Client, cfg Config) *Pool {
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*inflightEntry),
 	}
-	p.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now)
+	p.brk = health.New(health.Policy{
+		Threshold: cfg.BreakerThreshold,
+		Base:      cfg.BreakerCooldown,
+		Max:       cfg.BreakerCooldown,
+		Now:       cfg.now,
+	})
 	p.m.queuedByLane = make(map[Lane]int64, len(Lanes))
 	p.cache.onInsert = cfg.OnCacheInsert
 	p.cache.onEvict = cfg.OnCacheEvict
@@ -843,17 +855,17 @@ func (p *Pool) abortQueued(j *Job, cause error) {
 	p.m.mu.Unlock()
 
 	err := fmt.Errorf("fleet: submission abandoned before reaching the queue: %w", cause)
+	p.m.releaseTenant(j.tenant)
 	j.complete(nil, err, finished)
 	p.jobWG.Done()
-	p.m.releaseTenant(j.tenant)
 	p.emit(EventFailed, j, nil)
 	for _, f := range followers {
 		f.mu.Lock()
 		f.cacheHit = false
 		f.mu.Unlock()
+		p.m.releaseTenant(f.tenant)
 		f.complete(nil, err, finished)
 		p.jobWG.Done()
-		p.m.releaseTenant(f.tenant)
 		p.emit(EventFailed, f, nil)
 	}
 }
@@ -910,7 +922,7 @@ func (p *Pool) Jobs() []*Job {
 // daemon that kept refusing would stay broken forever. (The metrics
 // snapshot's BreakerOpen reports the raw open state instead.)
 func (p *Pool) BreakerOpen() bool {
-	return p.brk.refusing()
+	return p.brk.Deferred(p.cfg.now())
 }
 
 // SetTenantClass assigns (or with class "", clears) a tenant's SLO
@@ -958,7 +970,7 @@ func (p *Pool) Metrics() Snapshot {
 	// digest it can currently answer for (resident cache entries) or is
 	// answering (in-flight primaries).
 	s.OwnedDigests = int64(s.CacheLen + inflight)
-	s.BreakerOpen, s.BreakerTrips = p.brk.stats()
+	s.BreakerOpen, s.BreakerTrips = p.brk.Stats()
 	s.SemEntries = p.SemLen()
 	sm := p.schd.Metrics()
 	s.Sched = &sm
@@ -1109,12 +1121,12 @@ func (p *Pool) runJob(j *Job) {
 			// normally. If the breaker stays open through every attempt, the
 			// job fails with ErrBreakerOpen, which means "never tried" and is
 			// safe to resubmit.
-			if !p.brk.allow() {
+			if !p.brk.Allow() {
 				err = ErrBreakerOpen
 				continue
 			}
 			res, err = p.diagnose(log)
-			p.brk.record(err != nil && llm.IsTransient(err))
+			p.brk.Observe(err != nil && llm.IsTransient(err))
 			if err == nil || !llm.IsTransient(err) {
 				break
 			}
@@ -1160,9 +1172,11 @@ func (p *Pool) runJob(j *Job) {
 	if err != nil {
 		kind = EventFailed
 	}
+	// Free the tenant's slot before the job is seen as finished: a caller
+	// woken by Wait must find the quota already released.
+	p.m.releaseTenant(j.tenant)
 	j.complete(res, err, finished)
 	p.jobWG.Done()
-	p.m.releaseTenant(j.tenant)
 	p.emit(kind, j, nil)
 	for _, f := range followers {
 		f.mu.Lock()
@@ -1180,9 +1194,9 @@ func (p *Pool) runJob(j *Job) {
 		if err == nil {
 			p.m.recordLatency(finished.Sub(fsub))
 		}
+		p.m.releaseTenant(f.tenant)
 		f.complete(res, err, finished)
 		p.jobWG.Done()
-		p.m.releaseTenant(f.tenant)
 		p.emit(kind, f, nil)
 	}
 }
